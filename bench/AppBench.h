@@ -829,176 +829,6 @@ parallelSafetyTreeContraction(size_t N, size_t Rounds,
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel propagation scaling (runtime/ParallelPropagate)
-//===----------------------------------------------------------------------===//
-
-/// One (app, thread-count) row of the parallel-propagation scaling
-/// sweep. Threads == 1 is the sequential baseline the other rows are
-/// digest-checked and speedup-normalized against; the digest is the
-/// placement-abstract trace-shape digest after the whole edit loop, so
-/// equality across thread counts certifies the parallel phases were
-/// observationally identical to sequential propagation.
-struct ParallelPropagateRow {
-  std::string Name;
-  size_t N = 0;
-  unsigned Threads = 1;
-  size_t BatchEdits = 0;
-  uint64_t Propagations = 0;
-  /// From the propagation profiler: phases that ran parallel, phases
-  /// refused up front (gates/clustering), phases demoted mid-flight by a
-  /// dynamic cross-group conflict.
-  uint64_t ParallelRuns = 0;
-  uint64_t Fallbacks = 0;
-  uint64_t Conflicts = 0;
-  double UpdateLoopSeconds = 0;
-  uint64_t TraceDigest = 0;
-  /// Filled by the emitter comparing against the Threads == 1 row.
-  bool DigestMatchesSequential = true;
-
-  void writeJson(std::ostream &Out) const {
-    char Dig[24];
-    std::snprintf(Dig, sizeof(Dig), "%016llx",
-                  static_cast<unsigned long long>(TraceDigest));
-    Out << "{\"name\": \"" << Name << "\", \"n\": " << N
-        << ", \"threads\": " << Threads
-        << ", \"batch_edits\": " << BatchEdits
-        << ", \"propagations\": " << Propagations
-        << ",\n     \"parallel_runs\": " << ParallelRuns
-        << ", \"fallbacks\": " << Fallbacks
-        << ", \"conflicts\": " << Conflicts
-        << ", \"update_loop_seconds\": " << UpdateLoopSeconds
-        << ",\n     \"trace_digest\": \"" << Dig << "\""
-        << ", \"digest_matches_sequential\": "
-        << (DigestMatchesSequential ? "true" : "false") << "}";
-  }
-};
-
-/// The shared batched-edit loop for the scaling rows: one untimed
-/// warm-up round, then \p Rounds timed rounds of batch-edit / propagate
-/// / inverse-batch / propagate (the same schedule the safety audit uses,
-/// so the dirty sets actually cluster), then the profiler counters and
-/// the final trace-shape digest.
-template <typename EditFn, typename UndoFn>
-inline void runParallelLoop(Runtime &RT, ParallelPropagateRow &Row,
-                            size_t Rounds, size_t B, EditFn Edit,
-                            UndoFn Undo) {
-  Row.BatchEdits = B;
-  for (size_t J = 0; J < B; ++J)
-    Edit(0, J);
-  RT.propagate();
-  for (size_t J = B; J-- > 0;)
-    Undo(0, J);
-  RT.propagate();
-  RT.resetProfile();
-  Timer T;
-  for (size_t Round = 0; Round < Rounds; ++Round) {
-    for (size_t J = 0; J < B; ++J)
-      Edit(Round, J);
-    RT.propagate();
-    for (size_t J = B; J-- > 0;)
-      Undo(Round, J);
-    RT.propagate();
-  }
-  Row.UpdateLoopSeconds = T.seconds();
-  Row.Propagations = 2 * Rounds;
-  const PropagationProfile &P = RT.profile();
-  Row.ParallelRuns = P.ParallelRuns;
-  Row.Fallbacks = P.ParallelFallbacks;
-  Row.Conflicts = P.ParallelConflicts;
-  Row.TraceDigest = Snapshot::traceShapeDigest(RT);
-}
-
-/// Builds a parallel-propagation Config: profiler on (the counters above
-/// come from it), parallel phases armed iff \p Threads >= 2.
-inline Runtime::Config parallelBenchConfig(unsigned Threads) {
-  Runtime::Config Cfg;
-  Cfg.EnableProfile = true;
-  Cfg.ParallelPropagate = Threads >= 2;
-  Cfg.ParallelThreads = Threads >= 2 ? Threads : 2;
-  return Cfg;
-}
-
-inline ParallelPropagateRow
-parallelPropagateList(ListKind K, size_t N, size_t Rounds, unsigned Threads,
-                      uint64_t Seed = 46) {
-  using namespace apps;
-  ParallelPropagateRow Row;
-  Row.Name = listKindName(K);
-  Row.N = N;
-  Row.Threads = Threads;
-  Rng R(Seed);
-  std::vector<Word> In = randomWords(R, N);
-  Runtime RT(parallelBenchConfig(Threads));
-  RT.reserveTrace(listExpectedOps(K, N));
-  ListHandle L = buildList(RT, In);
-  Modref *Dst = RT.modref();
-  runListCore(RT, K, L.Head, Dst);
-  const size_t B = std::min<size_t>(8, N / 2);
-  runParallelLoop(
-      RT, Row, Rounds, B,
-      [&](size_t Round, size_t J) { detachCell(RT, L, safetyPos(N, B, Round, J)); },
-      [&](size_t Round, size_t J) { reattachCell(RT, L, safetyPos(N, B, Round, J)); });
-  return Row;
-}
-
-inline ParallelPropagateRow
-parallelPropagateQuickhull(size_t N, size_t Rounds, unsigned Threads,
-                           uint64_t Seed = 47) {
-  using namespace apps;
-  ParallelPropagateRow Row;
-  Row.Name = "quickhull";
-  Row.N = N;
-  Row.Threads = Threads;
-  Rng R(Seed);
-  Runtime RT(parallelBenchConfig(Threads));
-  RT.reserveTrace(8 * N);
-  std::vector<Point *> A = randomPoints(RT, R, N);
-  ListHandle LA = buildPointList(RT, A);
-  Modref *Dst = RT.modref();
-  RT.runCore<&quickhullCore>(LA.Head, Dst);
-  const size_t Cells = LA.Cells.size();
-  const size_t B = std::min<size_t>(8, Cells / 2);
-  runParallelLoop(RT, Row, Rounds, B,
-                  [&](size_t Round, size_t J) {
-                    detachCell(RT, LA, safetyPos(Cells, B, Round, J));
-                  },
-                  [&](size_t Round, size_t J) {
-                    reattachCell(RT, LA, safetyPos(Cells, B, Round, J));
-                  });
-  return Row;
-}
-
-inline ParallelPropagateRow
-parallelPropagateExpTrees(size_t NumLeaves, size_t Rounds, unsigned Threads,
-                          uint64_t Seed = 48) {
-  using namespace apps;
-  ParallelPropagateRow Row;
-  Row.Name = "exptrees";
-  Row.N = NumLeaves;
-  Row.Threads = Threads;
-  Rng R(Seed);
-  Runtime RT(parallelBenchConfig(Threads));
-  RT.reserveTrace(8 * NumLeaves);
-  ExpTree T = buildExpTree(RT, R, NumLeaves);
-  Modref *Res = RT.modref();
-  RT.runCore<&evalExpCore>(T.Root, Res);
-  const size_t Leaves = T.Leaves.size();
-  const size_t B = std::min<size_t>(8, Leaves / 2);
-  std::vector<double> Olds(B);
-  runParallelLoop(RT, Row, Rounds, B,
-                  [&](size_t Round, size_t J) {
-                    size_t Index = safetyPos(Leaves, B, Round, J);
-                    Olds[J] = T.Leaves[Index]->Num;
-                    replaceLeaf(RT, T, Index, Olds[J] + 1.0);
-                  },
-                  [&](size_t Round, size_t J) {
-                    replaceLeaf(RT, T, safetyPos(Leaves, B, Round, J),
-                                Olds[J]);
-                  });
-  return Row;
-}
-
-//===----------------------------------------------------------------------===//
 // Output helpers
 //===----------------------------------------------------------------------===//
 

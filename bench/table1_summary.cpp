@@ -17,7 +17,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <thread>
 #include <vector>
 
 using namespace ceal;
@@ -126,33 +125,6 @@ int main(int argc, char **argv) {
                 S.detectorOverhead(),
                 S.Partitionable ? "parallel" : "conflict");
 
-  // Parallel propagation scaling (runtime/ParallelPropagate): the same
-  // batched-edit loop at 1/2/4 worker threads; the trace-shape digest
-  // must match the 1-thread row or a parallel phase diverged from
-  // sequential propagation.
-  std::vector<ParallelPropagateRow> ParRows;
-  for (unsigned T : {1u, 2u, 4u})
-    ParRows.push_back(parallelPropagateQuickhull(NSmall, SafetyRounds, T));
-  for (unsigned T : {1u, 2u, 4u})
-    ParRows.push_back(parallelPropagateExpTrees(NBig, SafetyRounds, T));
-  for (ParallelPropagateRow &R : ParRows)
-    for (const ParallelPropagateRow &Base : ParRows)
-      if (Base.Name == R.Name && Base.Threads == 1)
-        R.DigestMatchesSequential = R.TraceDigest == Base.TraceDigest;
-
-  std::printf("\nParallel propagation (batched edits, host_cpus=%u)\n",
-              std::thread::hardware_concurrency());
-  std::printf("%-12s %3s | %8s %8s %8s | %10s %6s\n", "Application", "thr",
-              "par-runs", "fallback", "conflict", "loop(s)", "digest");
-  for (const ParallelPropagateRow &R : ParRows)
-    std::printf("%-12s %3u | %8llu %8llu %8llu | %10.4f %6s\n",
-                R.Name.c_str(), R.Threads,
-                static_cast<unsigned long long>(R.ParallelRuns),
-                static_cast<unsigned long long>(R.Fallbacks),
-                static_cast<unsigned long long>(R.Conflicts),
-                R.UpdateLoopSeconds,
-                R.DigestMatchesSequential ? "match" : "DIFF");
-
   // Machine-readable mirror of the table for CI tracking.
   {
     std::ofstream Json("BENCH_table1.json");
@@ -190,14 +162,7 @@ int main(int argc, char **argv) {
       Safety[I].writeJson(Json);
       Json << (I + 1 < Safety.size() ? ",\n" : "\n");
     }
-    Json << "  ],\n  \"parallel_propagate\": {\n    \"host_cpus\": "
-         << std::thread::hardware_concurrency() << ",\n    \"apps\": [\n";
-    for (size_t I = 0; I < ParRows.size(); ++I) {
-      Json << "    ";
-      ParRows[I].writeJson(Json);
-      Json << (I + 1 < ParRows.size() ? ",\n" : "\n");
-    }
-    Json << "    ]\n  },\n  \"average_overhead\": " << OhSum / double(Rows.size())
+    Json << "  ],\n  \"average_overhead\": " << OhSum / double(Rows.size())
          << ",\n  \"average_speedup\": " << SpSum / double(Rows.size())
          << "\n}\n";
     std::printf("wrote BENCH_table1.json\n");

@@ -41,10 +41,8 @@ namespace apps {
 /// source cell's Id and the derivation site. An explicit lineage-based
 /// identity — rather than the cell's address or region offset — keeps
 /// every coin a pure function of the input structure, so the whole trace
-/// shape is reproducible across allocators; in particular, a parallel
-/// propagation phase (which places fresh blocks in per-worker shard
-/// chunks) must flip the same coins a sequential one would, or the
-/// parallel-vs-sequential trace oracle could never hold.
+/// shape is reproducible across runtimes, region bases, and allocation
+/// histories (the snapshot round-trip oracle compares traces by digest).
 struct Cell {
   Word Head;
   Word Id;

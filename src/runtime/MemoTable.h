@@ -20,7 +20,6 @@
 #define CEAL_RUNTIME_MEMOTABLE_H
 
 #include "support/Arena.h"
-#include "support/SpinLock.h"
 #include "support/simd/Simd.h"
 
 #include <cstddef>
@@ -66,15 +65,8 @@ public:
     // Load factor 1: every chain probe is a dependent cache miss on the
     // propagation hot path, so buckets are kept at least as numerous as
     // entries (growing at 2 measurably lengthened memo lookups).
-    if (__builtin_expect(Sharded, 0)) {
-      // The bucket array cannot move under concurrent probes; the leader
-      // rehashes when the phase disarms.
-      if (__atomic_load_n(&Count, __ATOMIC_RELAXED) >= Buckets.size())
-        __atomic_store_n(&NeedGrow, true, __ATOMIC_RELAXED);
-    } else if (!DeferGrow && Count >= Buckets.size()) {
+    if (!DeferGrow && Count >= Buckets.size())
       grow();
-    }
-    MaybeLockGuard L(Sharded, stripe(N->Memo.Hash));
     size_t Index = bucketIndex(N->Memo.Hash);
     Handle<NodeT> HN = Mem->handle(N);
     N->Memo.Prev = Handle<NodeT>{};
@@ -82,7 +74,7 @@ public:
     if (NodeT *Head = Mem->ptr(Buckets[Index]))
       Head->Memo.Prev = HN;
     Buckets[Index] = HN;
-    bumpCount(1);
+    ++Count;
   }
 
   /// Ensures at least \p Expected buckets (rounded up to a power of two)
@@ -108,7 +100,6 @@ public:
   /// bucket lines — the random-address cache misses that dominate
   /// pay-as-you-go insertion — prefetched from the precomputed indexes.
   void insertBulk(NodeT *const *Nodes, size_t N) {
-    assert(!Sharded && "bulk insertion is an initial-run operation");
     reserve(Count + N);
     constexpr size_t Block = 256;
     constexpr size_t BucketAhead = 8;
@@ -144,7 +135,6 @@ public:
 
   /// Removes \p N, which must currently be in the table.
   void remove(NodeT *N) {
-    MaybeLockGuard L(Sharded, stripe(N->Memo.Hash));
     if (NodeT *Prev = Mem->ptr(N->Memo.Prev))
       Prev->Memo.Next = N->Memo.Next;
     else
@@ -152,7 +142,7 @@ public:
     if (NodeT *Next = Mem->ptr(N->Memo.Next))
       Next->Memo.Prev = N->Memo.Prev;
     N->Memo.Prev = N->Memo.Next = Handle<NodeT>{};
-    bumpCount(-1);
+    --Count;
   }
 
   /// Head of the chain that would contain nodes with \p Hash.
@@ -173,41 +163,19 @@ public:
   /// The bucket \p Hash maps to under the current table size.
   size_t bucketFor(uint64_t Hash) const { return bucketIndex(Hash); }
 
-  /// Arms/disarms sharded (striped) mode for a parallel propagation
-  /// phase. While sharded, insert/remove serialize per hash stripe, the
-  /// count is maintained atomically, and bucket-array growth is deferred;
-  /// disarming performs the deferred grow. Toggled single-threaded.
-  void setSharded(bool On) {
-    Sharded = On;
-    if (!On && NeedGrow) {
-      NeedGrow = false;
-      if (!DeferGrow && Count >= Buckets.size())
-        grow();
-    }
-  }
-  bool sharded() const { return Sharded; }
-
-  /// Defers bucket-array growth to a canonical point. Rehashing reverses
-  /// same-bucket chain order, so WHEN a grow fires determines the chain
-  /// order every later probe sees; a parallel propagation's count
-  /// trajectory (removes during the phase, parked inserts applied at the
-  /// join) differs from the sequential interleaving, so a mid-step grow
-  /// could fire in one mode and not the other. Both modes therefore arm
-  /// this for the whole propagate step and disarm at its end, where the
-  /// table state — and hence the rehash — is identical. Load factor may
-  /// transiently exceed 1 within the step; harmless.
+  /// Parks bucket-array growth while \p On; turning it off grows the table
+  /// if the count then warrants it. A propagation step inserts the
+  /// re-executed trace's memo entries before it revokes the old
+  /// interval's leftovers, so the count peaks mid-step above where it
+  /// settles; growing at that transient peak would quadruple the bucket
+  /// array for a size the trace never keeps. The runtime therefore parks
+  /// growth for each whole propagate step (load factor may exceed 1
+  /// within it).
   void deferGrowth(bool On) {
     DeferGrow = On;
     if (!On && Count >= Buckets.size())
       grow();
   }
-
-  /// The stripe lock covering \p Hash's bucket. Bucket counts are powers
-  /// of two and never below NumStripes, so same-bucket implies
-  /// same-stripe: a caller holding this lock may walk the whole chain.
-  /// Callers that probe chains while sharded (the runtime's memo
-  /// lookups) must hold it across chainHead() plus the walk.
-  SpinLock &stripe(uint64_t Hash) { return Stripes[Hash & (NumStripes - 1)]; }
 
 private:
   /// The snapshot subsystem serializes and restores the bucket array and
@@ -241,27 +209,11 @@ private:
     }
   }
 
-  void bumpCount(int64_t Delta) {
-    if (__builtin_expect(Sharded, 0))
-      __atomic_fetch_add(&Count, size_t(Delta), __ATOMIC_RELAXED);
-    else
-      Count += size_t(Delta);
-  }
-
-  static constexpr size_t NumStripes = 64;
-
   Arena *Mem;
   std::vector<Handle<NodeT>> Buckets;
   size_t Count = 0;
-  bool Sharded = false;
-  /// Set under sharded mode when the load factor crosses 1; consumed by
-  /// setSharded(false).
-  bool NeedGrow = false;
   /// Growth parked until deferGrowth(false); see that method.
   bool DeferGrow = false;
-  /// Per-hash-stripe locks (one cache line each would be overkill: these
-  /// are uncontended except when two workers memoize colliding keys).
-  SpinLock Stripes[NumStripes];
 };
 
 } // namespace ceal

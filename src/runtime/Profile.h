@@ -20,7 +20,8 @@
 ///    of trace operations (nodes traced, revoked, or memo-spliced)
 ///    performed per re-execution;
 ///  * a histogram of use-list insertion scan lengths (the placement
-///    walk in Runtime::insertUse).
+///    walk in Runtime::insertUse);
+///  * the SIMD kernel calls and bytes made inside runCore and propagate.
 ///
 /// The benchmark harnesses (bench/rt_microbench, bench/table1_summary)
 /// serialize the profile as JSON so CI can track where propagation time
@@ -63,17 +64,6 @@ struct ProfileHistogram {
   }
 
   double mean() const { return Count ? double(Sum) / double(Count) : 0.0; }
-
-  /// Folds another histogram into this one (parallel-worker profiles are
-  /// merged into the main profile at the join barrier).
-  void merge(const ProfileHistogram &O) {
-    for (unsigned B = 0; B < NumBuckets; ++B)
-      Buckets[B] += O.Buckets[B];
-    Count += O.Count;
-    Sum += O.Sum;
-    if (O.Max > Max)
-      Max = O.Max;
-  }
 
   /// Emits `{"count":...,"sum":...,"max":...,"mean":...,"buckets":[[lo,
   /// n],...]}` with one `[lower_bound, count]` pair per non-empty bucket.
@@ -132,48 +122,19 @@ struct PropagationProfile {
   /// Placement-scan steps per use-list insertion.
   ProfileHistogram UseScan;
 
-  /// Parallel-propagation section (runtime/ParallelPropagate). Counters
-  /// are zero unless the feature ran; per-worker slots beyond the used
-  /// thread count stay zero.
-  static constexpr unsigned MaxWorkers = 8;
-  uint64_t ParallelRuns = 0;      ///< propagations that ran parallel.
-  uint64_t ParallelFallbacks = 0; ///< propagations refused up front.
-  uint64_t ParallelConflicts = 0; ///< phases demoted by a dynamic conflict.
-  uint64_t ForwardedReads = 0;    ///< cross-region invalidations forwarded.
-  uint64_t JoinWaitNs = 0;        ///< leader wall time waiting at the join.
-  uint64_t WorkersUsed = 0;       ///< max workers any phase actually used.
-  uint64_t WorkerBusyNs[MaxWorkers] = {};
-  uint64_t WorkerPops[MaxWorkers] = {};
+  /// Always 0: propagation is sequential; kept because the repository
+  /// benchmark (perfbench/) still reports them.
+  uint64_t ParallelRuns = 0;
+  uint64_t JoinWaitNs = 0;
+
+  /// SIMD kernel calls and bytes made inside profiled runCore and
+  /// propagate calls (the process-global counters' deltas across them).
+  simd::CounterSnapshot Kernels;
 
   void reset() {
     bool E = Enabled;
     *this = PropagationProfile();
     Enabled = E;
-  }
-
-  /// Folds a worker's phase-local profile into this (main) profile at the
-  /// join barrier, crediting the worker's busy time to its slot. The
-  /// worker profile holds only hot-path accumulators (its RunCore and
-  /// Propagate timers never run).
-  void mergeWorker(const PropagationProfile &W, unsigned Id,
-                   uint64_t BusyNs) {
-    ReexecNs += W.ReexecNs;
-    RevokeNs += W.RevokeNs;
-    MemoLookupNs += W.MemoLookupNs;
-    QueueNs += W.QueueNs;
-    ReexecCalls += W.ReexecCalls;
-    RevokeCalls += W.RevokeCalls;
-    MemoLookups += W.MemoLookups;
-    QueuePops += W.QueuePops;
-    OmInserts += W.OmInserts;
-    MemoInserts += W.MemoInserts;
-    ClosureDispatches += W.ClosureDispatches;
-    ReexecWork.merge(W.ReexecWork);
-    UseScan.merge(W.UseScan);
-    if (Id < MaxWorkers) {
-      WorkerBusyNs[Id] += BusyNs;
-      WorkerPops[Id] += W.QueuePops;
-    }
   }
 
   /// Emits the profile as one JSON object (no trailing newline).
@@ -198,23 +159,8 @@ struct PropagationProfile {
     ReexecWork.writeJson(Out);
     Out << ", \"use_scan_hist\": ";
     UseScan.writeJson(Out);
-    Out << ", \"parallel\": {\"runs\": " << ParallelRuns
-        << ", \"fallbacks\": " << ParallelFallbacks
-        << ", \"conflicts\": " << ParallelConflicts
-        << ", \"forwarded_reads\": " << ForwardedReads
-        << ", \"join_wait_ns\": " << JoinWaitNs
-        << ", \"workers_used\": " << WorkersUsed
-        << ", \"worker_busy_ns\": [";
-    for (unsigned I = 0; I < MaxWorkers; ++I)
-      Out << (I ? ", " : "") << WorkerBusyNs[I];
-    Out << "], \"worker_pops\": [";
-    for (unsigned I = 0; I < MaxWorkers; ++I)
-      Out << (I ? ", " : "") << WorkerPops[I];
-    Out << "]}, \"simd\": ";
-    // Process-global dispatch counters (variant selected per kernel,
-    // calls, bytes), not per-propagation state; included here so every
-    // profile dump records which kernels actually ran and how wide.
-    simd::writeCountersJson(Out);
+    Out << ", \"simd\": ";
+    simd::writeCountersJson(Out, Kernels);
     Out << "}";
   }
 };
@@ -296,6 +242,34 @@ public:
 private:
   uint64_t *Acc;
   uint64_t T0 = 0;
+};
+
+/// RAII window crediting the SIMD kernel work done during its lifetime to
+/// a profile's Kernels. The kernel counters are process-global, so only
+/// their deltas across profiled phases belong to the profile. When
+/// profiling is disabled it reads no counters.
+class ProfileKernelWindow {
+public:
+  explicit ProfileKernelWindow(PropagationProfile &P)
+      : Prof(P.Enabled ? &P : nullptr) {
+    if (Prof)
+      Start = simd::snapshotCounters();
+  }
+  ProfileKernelWindow(const ProfileKernelWindow &) = delete;
+  ProfileKernelWindow &operator=(const ProfileKernelWindow &) = delete;
+  ~ProfileKernelWindow() {
+    if (!Prof)
+      return;
+    const simd::CounterSnapshot End = simd::snapshotCounters();
+    for (unsigned K = 0; K < simd::NumKernels; ++K) {
+      Prof->Kernels.Calls[K] += End.Calls[K] - Start.Calls[K];
+      Prof->Kernels.Bytes[K] += End.Bytes[K] - Start.Bytes[K];
+    }
+  }
+
+private:
+  PropagationProfile *Prof;
+  simd::CounterSnapshot Start;
 };
 
 } // namespace ceal

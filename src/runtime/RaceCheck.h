@@ -127,11 +127,11 @@ struct RaceReport {
   void writeJson(std::ostream &Out) const;
 };
 
-/// The interval clustering shared by the race detector and the parallel
-/// propagator: the pending dirty reads in start-timestamp order, each
-/// tagged with the overlap cluster it belongs to. Clusters are disjoint
-/// timestamp ranges — the units a parallel propagator can distribute and
-/// the detector's conflict-partition granularity.
+/// The interval clustering the race detector partitions: the pending
+/// dirty reads in start-timestamp order, each tagged with the overlap
+/// cluster it belongs to. Clusters are disjoint timestamp ranges — the
+/// units a parallel propagator could distribute and the detector's
+/// conflict-partition granularity.
 struct DirtyClustering {
   /// Deduplicated pending reads, sorted by start timestamp.
   std::vector<ReadNode *> Sorted;

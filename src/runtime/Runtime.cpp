@@ -29,59 +29,18 @@
 
 #include "runtime/Runtime.h"
 
-#include "runtime/ParallelPropagate.h"
 #include "runtime/TraceAudit.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace ceal;
-
-namespace {
-
-/// Striped locks serializing per-modifiable state during a parallel
-/// propagation phase (Runtime::ParArmed): one modifiable's stripe covers
-/// its use-list links, the governing-write caches and seen values of its
-/// readers, and the forwarding of its readers' invalidations. Process-wide
-/// and hashed by address; outside a phase every MaybeLockGuard below is
-/// one predictable branch.
-SpinLock ModrefLocks[512];
-
-SpinLock &modrefLock(const Modref *M) {
-  return ModrefLocks[(reinterpret_cast<uintptr_t>(M) >> 3) & 511];
-}
-
-} // namespace
 
 Runtime::Runtime(const Config &C) : Cfg(C) {
   Main.Cursor = Om.base();
   TraceEnd = Main.Cursor;
   GcAllocMark = 0;
   Main.Prof.Enabled = Cfg.EnableProfile;
-  // Kill switch: the parallel propagator exists only when explicitly
-  // enabled, and CEAL_PARALLEL_PROPAGATE overrides the config in either
-  // direction (>= 2 enables with that thread count, 0/1 disables) so CI
-  // can sweep thread counts without rebuilding harnesses.
-  bool WantParallel = Cfg.ParallelPropagate;
-  unsigned Threads = Cfg.ParallelThreads;
-  if (const char *Env = std::getenv("CEAL_PARALLEL_PROPAGATE")) {
-    char *EnvEnd = nullptr;
-    long N = std::strtol(Env, &EnvEnd, 10);
-    if (EnvEnd != Env) {
-      WantParallel = N >= 2;
-      if (N >= 2)
-        Threads = static_cast<unsigned>(N);
-    }
-  }
-  if (WantParallel) {
-    Threads = std::clamp(Threads, 2u, PropagationProfile::MaxWorkers);
-    Cfg.ParallelPropagate = true;
-    Cfg.ParallelThreads = Threads;
-    Par = std::make_unique<ParallelPropagate>(*this, Threads);
-  }
 }
 
 Runtime::~Runtime() = default; // Arena reclaims all trace storage.
@@ -116,11 +75,10 @@ template <typename NodeT> void Runtime::destroyNode(NodeT *N) {
 void Runtime::freeClosure(Closure *C) { Mem.deallocate(C, C->byteSize()); }
 
 OmNode *Runtime::stampAfterCursor(OmItem Item) {
-  ExecState &E = exec();
-  if (E.Prof.Enabled)
-    ++E.Prof.OmInserts;
-  E.Cursor = Om.insertAfter(E.Cursor, Item);
-  return E.Cursor;
+  if (Main.Prof.Enabled)
+    ++Main.Prof.OmInserts;
+  Main.Cursor = Om.insertAfter(Main.Cursor, Item);
+  return Main.Cursor;
 }
 
 /// insertUse specialized for construction: the cursor is the global
@@ -143,9 +101,8 @@ void Runtime::insertUseTail(Modref *M, Use *U) {
   M->Hint = HU;
   if (U->Kind == TraceKind::Read)
     static_cast<ReadNode *>(U)->Gov = writeGoverning(U);
-  ExecState &E = exec();
-  if (E.Prof.Enabled)
-    E.Prof.UseScan.record(0);
+  if (Main.Prof.Enabled)
+    Main.Prof.UseScan.record(0);
 }
 
 /// Inserts \p U into its modifiable's use list at the position given by
@@ -156,7 +113,6 @@ void Runtime::insertUseTail(Modref *M, Use *U) {
 /// O(uses after the position). Also seeds the governing-write cache from
 /// the predecessor.
 void Runtime::insertUse(Modref *M, Use *U) {
-  ExecState &E = exec();
   Use *T = Mem.ptr(M->Tail);
   OmNode *UStart = Om.nodeAt(U->Start);
   Handle<Use> HU = Mem.handle(U);
@@ -174,8 +130,8 @@ void Runtime::insertUse(Modref *M, Use *U) {
     M->Hint = HU;
     if (U->Kind == TraceKind::Read)
       static_cast<ReadNode *>(U)->Gov = writeGoverning(U);
-    if (E.Prof.Enabled)
-      E.Prof.UseScan.record(0);
+    if (Main.Prof.Enabled)
+      Main.Prof.UseScan.record(0);
     return;
   }
   uint64_t Steps = 0;
@@ -209,9 +165,9 @@ void Runtime::insertUse(Modref *M, Use *U) {
   else
     M->Tail = HU;
   M->Hint = HU;
-  E.S.UseScanSteps += Steps;
-  if (E.Prof.Enabled)
-    E.Prof.UseScan.record(Steps);
+  Main.S.UseScanSteps += Steps;
+  if (Main.Prof.Enabled)
+    Main.Prof.UseScan.record(Steps);
 }
 
 void Runtime::unlinkUse(Use *U) {
@@ -302,6 +258,7 @@ void Runtime::run(Closure *C) {
     Om.beginAppend(); // Construction stamps in monotone order.
   {
     ProfileTimer T(Main.Prof, Main.Prof.RunCoreNs);
+    ProfileKernelWindow K(Main.Prof);
     trampoline(C);
     // The memo inserts deferred during construction must land before the
     // meta phase resumes: propagation probes the indexes, and the audits
@@ -360,23 +317,16 @@ void Runtime::propagate() {
     Race.beginPropagate(*this, Cfg.RaceCheckIntervals);
   {
     ProfileTimer Total(Main.Prof, Main.Prof.PropagateNs);
-    // Memo-bucket growth is parked for the whole step so it fires at one
-    // canonical point regardless of propagation mode — rehash order, and
-    // with it every later probe's candidate choice, must not depend on
-    // whether the step ran parallel (see MemoTable::deferGrowth).
+    ProfileKernelWindow K(Main.Prof);
+    // Memo-bucket growth waits for the step's settled count (see
+    // MemoTable::deferGrowth).
     ReadMemo.deferGrowth(true);
     AllocMemo.deferGrowth(true);
-    // The parallel phase drains the certified disjoint groups; whatever
-    // it could not take (refusal, forwarded cross-region work, stragglers
-    // marked after the join) is propagated by the sequential loop below,
-    // which is also the only propagator when the feature is off.
-    if (Par)
-      Par->tryRun();
     for (;;) {
       ReadNode *R;
       {
         ProfileTimer T(Main.Prof, Main.Prof.QueueNs);
-        R = heapPopMin(Main);
+        R = heapPopMin();
       }
       if (!R)
         break;
@@ -464,46 +414,37 @@ MemoryStats Runtime::memoryStats() const {
 /// innermost (most recent) first, which produces the proper nesting
 /// r1.start < r2.start < ... < r2.end < r1.end.
 bool Runtime::trampoline(Closure *C) {
-  ExecState &E = exec();
-  size_t PendingBase = E.PendingReads.size();
+  size_t PendingBase = Main.PendingReads.size();
   bool DidSplice = false;
   while (C) {
-    if (E.Prof.Enabled)
-      ++E.Prof.ClosureDispatches;
+    if (Main.Prof.Enabled)
+      ++Main.Prof.ClosureDispatches;
     // Hand the parked substitution value (read value, block address) to
     // the closure and clear it: only the dispatch immediately after the
     // read/alloc that parked it may consume it.
-    Word Sub = E.PendingSubst;
-    E.PendingSubst = 0;
+    Word Sub = Main.PendingSubst;
+    Main.PendingSubst = 0;
     Closure *Next = C->fn()(*this, C, Sub);
     if (!C->ownedByTrace())
       freeClosure(C);
     C = Next;
-    if (E.SplicedFlag) {
-      E.SplicedFlag = false;
+    if (Main.SplicedFlag) {
+      Main.SplicedFlag = false;
       DidSplice = true;
       assert(!C && "a spliced read must be returned immediately");
       break;
     }
   }
-  for (size_t I = E.PendingReads.size(); I > PendingBase; --I) {
-    ReadNode *R = E.PendingReads[I - 1];
-    Handle<OmNode> EndH = Om.handleOf(stampAfterCursor(endItemOf(Mem, R)));
-    // During a parallel phase the end stamp races with cross-region
-    // invalidators inspecting the interval (they treat a null End as
-    // "open" and forward); publish it with release ordering.
-    if (__builtin_expect(ParArmed, 0))
-      R->endRelease(EndH);
-    else
-      R->End = EndH;
+  for (size_t I = Main.PendingReads.size(); I > PendingBase; --I) {
+    ReadNode *R = Main.PendingReads[I - 1];
+    R->End = Om.handleOf(stampAfterCursor(endItemOf(Mem, R)));
   }
-  E.PendingReads.resize(PendingBase);
+  Main.PendingReads.resize(PendingBase);
   return DidSplice;
 }
 
 Closure *Runtime::read(Modref *M, Closure *C) {
   assert(CurPhase != Phase::Meta && "read is a core operation");
-  ExecState &E = exec();
   // The modifiable's header line is not touched until the use-list link,
   // ~50ns of node setup from now; start the (usually cold) fill early.
   __builtin_prefetch(M, 1);
@@ -521,93 +462,68 @@ Closure *Runtime::read(Modref *M, Closure *C) {
   // run(). The hash itself is still computed here, while the closure's
   // key words sit in cache (hashing at flush time was measurably slower:
   // it re-misses on every closure line).
-  const bool EagerMemo = E.IntervalEnd || Cfg.DisableConstructionFastPath;
+  const bool EagerMemo = Main.IntervalEnd || Cfg.DisableConstructionFastPath;
   uint64_t Hash = readMemoHash(M, C);
-  if (E.IntervalEnd) {
+  if (Main.IntervalEnd) {
     ReadNode *Hit;
     {
-      ProfileTimer T(E.Prof, E.Prof.MemoLookupNs);
-      // Sharded probe: the stripe serializes the chain walk against
-      // concurrent inserts/removes by other workers. Any surviving hit
-      // lies in this worker's own reuse window (its own region), so the
-      // splice below needs no foreign coordination.
-      MaybeLockGuard ML(ParArmed, ReadMemo.stripe(Hash));
+      ProfileTimer T(Main.Prof, Main.Prof.MemoLookupNs);
       Hit = findReadMemo(M, C, Hash);
     }
-    if (E.Prof.Enabled)
-      ++E.Prof.MemoLookups;
+    if (Main.Prof.Enabled)
+      ++Main.Prof.MemoLookups;
     if (Hit) {
-      ++E.S.MemoReadHits;
+      ++Main.S.MemoReadHits;
       if (Race.Active)
         Race.onMemoHit();
       assert(!C->ownedByTrace() && "memo-spliced closure must be transient");
       freeClosure(C);
-      revokeInterval(E.Cursor, Om.nodeAt(Hit->Start));
-      E.Cursor = Om.nodeAt(Hit->End);
-      E.SplicedFlag = true;
+      revokeInterval(Main.Cursor, Om.nodeAt(Hit->Start));
+      Main.Cursor = Om.nodeAt(Hit->End);
+      Main.SplicedFlag = true;
       return nullptr;
     }
   }
-  ++E.S.ReadsTraced;
+  ++Main.S.ReadsTraced;
   ReadNode *R = newNode<ReadNode>();
   R->Ref = Mem.handle(M);
   R->Clo = Mem.handle(C);
   C->setOwnedByTrace(true);
   R->Start = Om.handleOf(stampAfterCursor(itemOf(Mem, R)));
-  Word V;
-  {
-    // The use-list link, the governing-write derivation, and the seen
-    // value must be one atomic step against concurrent writers of M
-    // during a parallel phase (a foreign write sweeping this list both
-    // retargets Gov and compares SeenValue).
-    MaybeLockGuard ML(ParArmed, modrefLock(M));
-    if (E.IntervalEnd)
-      insertUse(M, R);
-    else
-      insertUseTail(M, R);
-    V = valueGoverning(R);
-    R->SeenValue = V;
-  }
+  if (Main.IntervalEnd)
+    insertUse(M, R);
+  else
+    insertUseTail(M, R);
+  Word V = valueGoverning(R);
+  R->SeenValue = V;
   // The value reaches the closure through the trampoline's substitution
   // register, not a frame slot (the frame has none for it).
-  E.PendingSubst = V;
-  if (E.Prof.Enabled)
-    ++E.Prof.MemoInserts;
+  Main.PendingSubst = V;
+  if (Main.Prof.Enabled)
+    ++Main.Prof.MemoInserts;
   // Propagation both probes and revokes the memo index, so its inserts
-  // must be immediate; construction defers them to the bulk build. A
-  // parallel phase parks them instead: the join applies all phase
-  // inserts in worker-id order, keeping bucket-chain order (and hence
-  // every later probe's candidate choice) sequential-identical.
+  // must be immediate; construction defers them to the bulk build.
   R->Memo.Hash = static_cast<uint32_t>(Hash);
-  if (ParArmed) {
-    R->setMemoDeferredAtomic();
-    E.PhaseReadMemo.push_back(R);
-  } else if (EagerMemo) {
+  if (EagerMemo)
     ReadMemo.insert(R);
-  } else {
+  else
     PendingReadMemo.push_back(R);
-  }
   if (Race.Active)
     Race.onRead(M, R);
-  E.PendingReads.push_back(R);
+  Main.PendingReads.push_back(R);
   return C;
 }
 
 void Runtime::write(Modref *M, Word V) {
   assert(CurPhase != Phase::Meta && "write is a core operation");
-  ExecState &E = exec();
   __builtin_prefetch(M, 1); // See read(): cold until the use-list link.
-  ++E.S.WritesTraced;
+  ++Main.S.WritesTraced;
   if (Race.Active)
     Race.onWrite(M);
   WriteNode *W = newNode<WriteNode>();
   W->Ref = Mem.handle(M);
   W->Value = V;
   W->Start = Om.handleOf(stampAfterCursor(itemOf(Mem, W)));
-  // The whole link-plus-sweep is one critical section per modifiable:
-  // the sweep invalidates (possibly forwarding) under the same stripe,
-  // so a reader revocation elsewhere can never interleave mid-sweep.
-  MaybeLockGuard ML(ParArmed, modrefLock(M));
   if (!M->Head) {
     // Fresh modifiable, no trace history: nothing to scan for placement,
     // no governing-write bookkeeping to derive, no readers downstream to
@@ -616,11 +532,11 @@ void Runtime::write(Modref *M, Word V) {
     // output cell is written exactly once, right after its allocation).
     W->PrevUse = W->NextUse = Handle<Use>{};
     M->Head = M->Tail = M->Hint = Mem.handle(static_cast<Use *>(W));
-    if (E.Prof.Enabled)
-      E.Prof.UseScan.record(0);
+    if (Main.Prof.Enabled)
+      Main.Prof.UseScan.record(0);
     return;
   }
-  if (!E.IntervalEnd) {
+  if (!Main.IntervalEnd) {
     // Construction with trace history on the modifiable (a multi-write
     // modref): still a guaranteed tail append, with no readers after it
     // to retarget.
@@ -644,28 +560,23 @@ void Runtime::write(Modref *M, Word V) {
 
 void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
   assert(CurPhase != Phase::Meta && "allocate is a core operation");
-  ExecState &E = exec();
   // Hard failure in all build types: AllocNode::Size is 32-bit, and a
   // truncated size would corrupt the deferred-free accounting.
   checkAlways(Size < UINT32_MAX,
               "traced allocation exceeds the 32-bit size limit");
   // See read(): construction defers the memo insert, not the hashing.
-  const bool EagerMemo = E.IntervalEnd || Cfg.DisableConstructionFastPath;
+  const bool EagerMemo = Main.IntervalEnd || Cfg.DisableConstructionFastPath;
   uint64_t Hash = allocMemoHash(Init, Size);
-  if (E.IntervalEnd) {
+  if (Main.IntervalEnd) {
     AllocNode *Hit;
     {
-      ProfileTimer T(E.Prof, E.Prof.MemoLookupNs);
-      // See read(): the stripe covers the probe only; the steal below
-      // re-locks inside AllocMemo.remove (the hit is region-owned, so
-      // nothing else can steal it between the two sections).
-      MaybeLockGuard ML(ParArmed, AllocMemo.stripe(Hash));
+      ProfileTimer T(Main.Prof, Main.Prof.MemoLookupNs);
       Hit = findAllocMemo(Init, Size, Hash);
     }
-    if (E.Prof.Enabled)
-      ++E.Prof.MemoLookups;
+    if (Main.Prof.Enabled)
+      ++Main.Prof.MemoLookups;
     if (Hit) {
-      ++E.S.MemoAllocHits;
+      ++Main.S.MemoAllocHits;
       Handle<void> BlockH = Hit->Block;
       void *Block = Mem.ptr(BlockH);
       uint8_t Flags = Hit->Flags;
@@ -685,20 +596,13 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
       Init->setOwnedByTrace(true);
       A->Start = Om.handleOf(stampAfterCursor(itemOf(Mem, A)));
       A->Memo.Hash = static_cast<uint32_t>(Hash);
-      if (E.Prof.Enabled)
-        ++E.Prof.MemoInserts;
-      if (ParArmed) {
-        // See read(): parked until the join for deterministic chain
-        // order. Plain flag ops — nothing foreign touches alloc flags.
-        A->Flags |= TraceNode::FlagMemoDeferred;
-        E.PhaseAllocMemo.push_back(A);
-      } else {
-        AllocMemo.insert(A);
-      }
+      if (Main.Prof.Enabled)
+        ++Main.Prof.MemoInserts;
+      AllocMemo.insert(A);
       return Block;
     }
   }
-  ++E.S.AllocsTraced;
+  ++Main.S.AllocsTraced;
   void *Block = Mem.allocate(Size);
   AllocNode *A = newNode<AllocNode>();
   A->Flags = NodeFlags;
@@ -707,17 +611,13 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
   A->Init = Mem.handle(Init);
   Init->setOwnedByTrace(true);
   A->Start = Om.handleOf(stampAfterCursor(itemOf(Mem, A)));
-  if (E.Prof.Enabled)
-    ++E.Prof.MemoInserts;
+  if (Main.Prof.Enabled)
+    ++Main.Prof.MemoInserts;
   A->Memo.Hash = static_cast<uint32_t>(Hash);
-  if (ParArmed) {
-    A->Flags |= TraceNode::FlagMemoDeferred;
-    E.PhaseAllocMemo.push_back(A);
-  } else if (EagerMemo) {
+  if (EagerMemo)
     AllocMemo.insert(A);
-  } else {
+  else
     PendingAllocMemo.push_back(A);
-  }
   // Run the initializer now; it may not read or write modifiables
   // (correct-usage restriction 2), so it cannot splice or extend traces.
   // The block address travels in the substitution register.
@@ -755,72 +655,43 @@ Modref *Runtime::coreModrefDynamic(const Word *Keys, size_t NumKeys) {
 //===----------------------------------------------------------------------===//
 
 void Runtime::invalidate(ReadNode *R) {
-  if (__builtin_expect(ParArmed, 0)) {
-    // Parallel phase. Callers hold the modifiable's stripe, so the mark
-    // and the routing below are atomic against revocation of R. Exactly
-    // one marker proceeds past the RMW.
-    if (R->markDirtyAtomic())
-      return;
-    ExecState &E = exec();
-    Handle<OmNode> EndH = R->endAcquire();
-    // In-region iff RegionLo <= R.Start and R.End <= RegionHi. An open
-    // read (End not yet stamped — it is mid-construction on some worker)
-    // cannot be placed and is forwarded; the post-join sequential drain
-    // re-examines it.
-    if (E.RegionLo && EndH &&
-        !OrderList::precedes(Om.nodeAt(R->Start), E.RegionLo) &&
-        !OrderList::precedes(E.RegionHi, Om.nodeAt(EndH))) {
-      heapPush(E, R);
-      return;
-    }
-    Par->forward(R);
-    return;
-  }
   if (R->isDirty())
     return;
   R->setDirty(true);
   if (Race.Active)
     Race.onInvalidate(R);
-  heapPush(Main, R);
+  heapPush(R);
 }
 
 void Runtime::reexecute(ReadNode *R) {
-  ExecState &E = exec();
-  Word V;
-  {
-    // The governing-value load and the seen-value update must not
-    // interleave with a foreign write sweeping R's modifiable; released
-    // before the trampoline (which takes stripes of its own).
-    MaybeLockGuard ML(ParArmed, modrefLock(Mem.ptr(R->Ref)));
-    V = valueGoverning(R);
-    if (V == R->SeenValue && !Cfg.DisableEqualityCut) {
-      // The modification history restored the value this read saw; its
-      // trace is still consistent.
-      ++E.S.ReadsSkippedClean;
-      return;
-    }
-    R->SeenValue = V;
+  Word V = valueGoverning(R);
+  if (V == R->SeenValue && !Cfg.DisableEqualityCut) {
+    // The modification history restored the value this read saw; its
+    // trace is still consistent.
+    ++Main.S.ReadsSkippedClean;
+    return;
   }
-  ++E.S.ReadsReexecuted;
+  R->SeenValue = V;
+  ++Main.S.ReadsReexecuted;
   // Re-executed interval size, measured as the trace operations the
   // re-execution performs (nodes traced, revoked, or memo-spliced).
-  bool ProfOn = E.Prof.Enabled;
-  uint64_t Work0 = ProfOn ? traceWorkOps(E) : 0;
+  bool ProfOn = Main.Prof.Enabled;
+  uint64_t Work0 = ProfOn ? traceWorkOps() : 0;
   if (ProfOn)
-    ++E.Prof.ReexecCalls;
+    ++Main.Prof.ReexecCalls;
   {
-    ProfileTimer T(E.Prof, E.Prof.ReexecNs);
-    E.PendingSubst = V; // Consumed by the first trampoline dispatch below.
-    E.Cursor = Om.nodeAt(R->Start);
+    ProfileTimer T(Main.Prof, Main.Prof.ReexecNs);
+    Main.PendingSubst = V; // Consumed by the first trampoline dispatch below.
+    Main.Cursor = Om.nodeAt(R->Start);
     OmNode *End = Om.nodeAt(R->End);
-    E.IntervalEnd = End;
+    Main.IntervalEnd = End;
     bool Spliced = trampoline(Mem.ptr(R->Clo));
     if (!Spliced)
-      revokeInterval(E.Cursor, End);
-    E.IntervalEnd = nullptr;
+      revokeInterval(Main.Cursor, End);
+    Main.IntervalEnd = nullptr;
   }
   if (ProfOn)
-    E.Prof.ReexecWork.record(traceWorkOps(E) - Work0);
+    Main.Prof.ReexecWork.record(traceWorkOps() - Work0);
 }
 
 /// Revokes every old trace node strictly between \p From and \p To.
@@ -828,10 +699,9 @@ void Runtime::reexecute(ReadNode *R) {
 /// encountered directly belong to reads whose start lies in the interval
 /// as well and are handled when the start is visited.
 void Runtime::revokeInterval(OmNode *From, OmNode *To) {
-  ExecState &E = exec();
-  ProfileTimer T(E.Prof, E.Prof.RevokeNs);
-  if (E.Prof.Enabled)
-    ++E.Prof.RevokeCalls;
+  ProfileTimer T(Main.Prof, Main.Prof.RevokeNs);
+  if (Main.Prof.Enabled)
+    ++Main.Prof.RevokeCalls;
   OmNode *N = From->Next;
   while (N && N != To) {
     OmItem Item = N->Item;
@@ -866,36 +736,13 @@ void Runtime::revokeInterval(OmNode *From, OmNode *To) {
 }
 
 void Runtime::revokeRead(ReadNode *R) {
-  ExecState &E = exec();
-  ++E.S.NodesRevoked;
+  ++Main.S.NodesRevoked;
   if (Race.Active)
     Race.onRevokeRead(R);
   if (R->HeapIndex >= 0)
-    heapRemove(E, R);
-  if (__builtin_expect(R->isMemoDeferred(), 0)) {
-    // The parked insert never reached the table. Null the strand entry
-    // in place — the join preserves the order of the survivors. Only
-    // the owning worker can revoke a node it created this phase, so the
-    // entry is always in this strand's own vector.
-    R->clearMemoDeferredAtomic();
-    auto &Pend = E.PhaseReadMemo;
-    for (size_t I = Pend.size(); I-- > 0;)
-      if (Pend[I] == R) {
-        Pend[I] = nullptr;
-        break;
-      }
-  } else {
-    ReadMemo.remove(R);
-  }
-  {
-    // Unlinking under the stripe makes R unreachable to foreign write
-    // sweeps; the overflow purge inside the same section closes the
-    // window where a just-forwarded R would otherwise dangle.
-    MaybeLockGuard ML(ParArmed, modrefLock(Mem.ptr(R->Ref)));
-    unlinkUse(R);
-    if (__builtin_expect(ParArmed, 0))
-      Par->revokedWhileQueued(R);
-  }
+    heapRemove(R);
+  ReadMemo.remove(R);
+  unlinkUse(R);
   Om.remove(Om.nodeAt(R->Start));
   assert(R->End && "revoking a read whose interval is still open");
   Om.remove(Om.nodeAt(R->End));
@@ -904,50 +751,32 @@ void Runtime::revokeRead(ReadNode *R) {
 }
 
 void Runtime::revokeWrite(WriteNode *W) {
-  ExecState &E = exec();
-  ++E.S.NodesRevoked;
+  ++Main.S.NodesRevoked;
   Modref *M = Mem.ptr(W->Ref);
-  {
-    // Same critical section shape as write(): retarget-plus-invalidate
-    // is atomic per modifiable during a parallel phase.
-    MaybeLockGuard ML(ParArmed, modrefLock(M));
-    // Readers this write governed fall back to the previous write (or the
-    // initial value); invalidate those that saw something different.
-    Handle<WriteNode> PrevH = writeGoverning(W);
-    WriteNode *Prev = Mem.ptr(PrevH);
-    Word PrevValue = Prev ? Prev->Value : M->Initial;
-    for (Use *U = Mem.ptr(W->NextUse); U && U->Kind == TraceKind::Read;
-         U = Mem.ptr(U->NextUse)) {
-      auto *R = static_cast<ReadNode *>(U);
-      // Retarget the governing-write cache to the write this one shadowed.
-      R->Gov = PrevH;
-      if (R->SeenValue != PrevValue || Cfg.DisableEqualityCut)
-        invalidate(R);
-    }
-    unlinkUse(W);
+  // Readers this write governed fall back to the previous write (or the
+  // initial value); invalidate those that saw something different.
+  Handle<WriteNode> PrevH = writeGoverning(W);
+  WriteNode *Prev = Mem.ptr(PrevH);
+  Word PrevValue = Prev ? Prev->Value : M->Initial;
+  for (Use *U = Mem.ptr(W->NextUse); U && U->Kind == TraceKind::Read;
+       U = Mem.ptr(U->NextUse)) {
+    auto *R = static_cast<ReadNode *>(U);
+    // Retarget the governing-write cache to the write this one shadowed.
+    R->Gov = PrevH;
+    if (R->SeenValue != PrevValue || Cfg.DisableEqualityCut)
+      invalidate(R);
   }
+  unlinkUse(W);
   Om.remove(Om.nodeAt(W->Start));
   destroyNode(W);
 }
 
 void Runtime::revokeAlloc(AllocNode *A) {
-  ExecState &E = exec();
-  ++E.S.NodesRevoked;
-  if (__builtin_expect(A->isMemoDeferred(), 0)) {
-    // See revokeRead: the parked insert is strand-local; null it there.
-    A->Flags &= ~TraceNode::FlagMemoDeferred;
-    auto &Pend = E.PhaseAllocMemo;
-    for (size_t I = Pend.size(); I-- > 0;)
-      if (Pend[I] == A) {
-        Pend[I] = nullptr;
-        break;
-      }
-  } else {
-    AllocMemo.remove(A);
-  }
+  ++Main.S.NodesRevoked;
+  AllocMemo.remove(A);
   Om.remove(Om.nodeAt(A->Start));
   freeClosure(Mem.ptr(A->Init));
-  E.DeferredFrees.push_back({Mem.ptr(A->Block), A->Size, A->isModrefBlock()});
+  Main.DeferredFrees.push_back({Mem.ptr(A->Block), A->Size, A->isModrefBlock()});
   destroyNode(A);
 }
 
@@ -1005,9 +834,8 @@ uint64_t Runtime::allocMemoHash(const Closure *Init, size_t Size) const {
 /// lie strictly between the cursor and the end of the interval being
 /// re-executed.
 bool Runtime::inReuseWindow(const OmNode *Start) const {
-  const ExecState &E = exec();
-  return OrderList::precedes(E.Cursor, Start) &&
-         OrderList::precedes(Start, E.IntervalEnd);
+  return OrderList::precedes(Main.Cursor, Start) &&
+         OrderList::precedes(Start, Main.IntervalEnd);
 }
 
 static bool sameTrailingArgs(const Closure *A, const Closure *B) {
@@ -1061,68 +889,68 @@ bool Runtime::heapLess(const ReadNode *A, const ReadNode *B) const {
   return OrderList::precedes(Om.nodeAt(A->Start), Om.nodeAt(B->Start));
 }
 
-void Runtime::heapPush(ExecState &E, ReadNode *R) {
+void Runtime::heapPush(ReadNode *R) {
   assert(R->HeapIndex < 0 && "node already queued");
-  R->HeapIndex = static_cast<int32_t>(E.Heap.size());
-  E.Heap.push_back(R);
-  heapSiftUp(E, E.Heap.size() - 1);
+  R->HeapIndex = static_cast<int32_t>(Main.Heap.size());
+  Main.Heap.push_back(R);
+  heapSiftUp(Main.Heap.size() - 1);
 }
 
-ReadNode *Runtime::heapPopMin(ExecState &E) {
-  if (E.Heap.empty())
+ReadNode *Runtime::heapPopMin() {
+  if (Main.Heap.empty())
     return nullptr;
-  ReadNode *Min = E.Heap.front();
+  ReadNode *Min = Main.Heap.front();
   Min->HeapIndex = -1;
-  ReadNode *Last = E.Heap.back();
-  E.Heap.pop_back();
-  if (!E.Heap.empty()) {
-    E.Heap[0] = Last;
+  ReadNode *Last = Main.Heap.back();
+  Main.Heap.pop_back();
+  if (!Main.Heap.empty()) {
+    Main.Heap[0] = Last;
     Last->HeapIndex = 0;
-    heapSiftDown(E, 0);
+    heapSiftDown(0);
   }
   return Min;
 }
 
-void Runtime::heapRemove(ExecState &E, ReadNode *R) {
+void Runtime::heapRemove(ReadNode *R) {
   size_t Index = static_cast<size_t>(R->HeapIndex);
-  assert(Index < E.Heap.size() && E.Heap[Index] == R && "heap index corrupt");
+  assert(Index < Main.Heap.size() && Main.Heap[Index] == R && "heap index corrupt");
   R->HeapIndex = -1;
-  ReadNode *Last = E.Heap.back();
-  E.Heap.pop_back();
+  ReadNode *Last = Main.Heap.back();
+  Main.Heap.pop_back();
   if (Last == R)
     return;
-  E.Heap[Index] = Last;
+  Main.Heap[Index] = Last;
   Last->HeapIndex = static_cast<int32_t>(Index);
-  heapSiftDown(E, Index);
-  heapSiftUp(E, static_cast<size_t>(Last->HeapIndex));
+  heapSiftDown(Index);
+  heapSiftUp(static_cast<size_t>(Last->HeapIndex));
 }
 
-void Runtime::heapSiftUp(ExecState &E, size_t Index) {
+void Runtime::heapSiftUp(size_t Index) {
   while (Index > 0) {
     size_t Parent = (Index - 1) / 2;
-    if (!heapLess(E.Heap[Index], E.Heap[Parent]))
+    if (!heapLess(Main.Heap[Index], Main.Heap[Parent]))
       break;
-    std::swap(E.Heap[Index], E.Heap[Parent]);
-    E.Heap[Index]->HeapIndex = static_cast<int32_t>(Index);
-    E.Heap[Parent]->HeapIndex = static_cast<int32_t>(Parent);
+    std::swap(Main.Heap[Index], Main.Heap[Parent]);
+    Main.Heap[Index]->HeapIndex = static_cast<int32_t>(Index);
+    Main.Heap[Parent]->HeapIndex = static_cast<int32_t>(Parent);
     Index = Parent;
   }
 }
 
-void Runtime::heapSiftDown(ExecState &E, size_t Index) {
+void Runtime::heapSiftDown(size_t Index) {
   for (;;) {
     size_t Left = Index * 2 + 1;
-    if (Left >= E.Heap.size())
+    if (Left >= Main.Heap.size())
       return;
     size_t Small = Left;
     size_t Right = Left + 1;
-    if (Right < E.Heap.size() && heapLess(E.Heap[Right], E.Heap[Left]))
+    if (Right < Main.Heap.size() && heapLess(Main.Heap[Right], Main.Heap[Left]))
       Small = Right;
-    if (!heapLess(E.Heap[Small], E.Heap[Index]))
+    if (!heapLess(Main.Heap[Small], Main.Heap[Index]))
       return;
-    std::swap(E.Heap[Index], E.Heap[Small]);
-    E.Heap[Index]->HeapIndex = static_cast<int32_t>(Index);
-    E.Heap[Small]->HeapIndex = static_cast<int32_t>(Small);
+    std::swap(Main.Heap[Index], Main.Heap[Small]);
+    Main.Heap[Index]->HeapIndex = static_cast<int32_t>(Index);
+    Main.Heap[Small]->HeapIndex = static_cast<int32_t>(Small);
     Index = Small;
   }
 }

@@ -36,14 +36,12 @@
 #include "support/Check.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace ceal {
 
 class TraceAudit;
-class ParallelPropagate;
 
 /// How aggressively the trace sanitizer (TraceAudit) runs.
 enum class AuditLevel : uint8_t {
@@ -111,16 +109,6 @@ public:
     /// Maximum interval groups per checked propagation (clamped to 32,
     /// the mask width). More groups test a finer parallel partition.
     unsigned RaceCheckIntervals = 8;
-    /// Enables parallel change propagation over certified interval
-    /// groups (runtime/ParallelPropagate.h): each propagation's dirty
-    /// set is clustered exactly as the race detector would, disjoint
-    /// groups re-execute on worker threads, and any cross-group effect
-    /// falls back to sequential propagation. Kill switch: defaults off;
-    /// the CEAL_PARALLEL_PROPAGATE environment variable (>= 2 enables
-    /// with that thread count, 0/1 disables) overrides for CI sweeps.
-    bool ParallelPropagate = false;
-    /// Worker threads for the parallel phase (clamped to [2, 8]).
-    unsigned ParallelThreads = 4;
   };
 
   /// Counters for tests and the benchmark harnesses.
@@ -139,22 +127,6 @@ public:
     /// regression guard for the insertUse cursor hint (pure appends and
     /// runs of adjacent insertions contribute zero).
     uint64_t UseScanSteps = 0;
-
-    /// Folds a parallel worker's per-phase counters into this record
-    /// (the join barrier merges instead of sharing hot counters).
-    void merge(const Stats &W) {
-      ReadsTraced += W.ReadsTraced;
-      WritesTraced += W.WritesTraced;
-      AllocsTraced += W.AllocsTraced;
-      ReadsReexecuted += W.ReadsReexecuted;
-      ReadsSkippedClean += W.ReadsSkippedClean;
-      MemoReadHits += W.MemoReadHits;
-      MemoAllocHits += W.MemoAllocHits;
-      NodesRevoked += W.NodesRevoked;
-      Propagations += W.Propagations;
-      GcScans += W.GcScans;
-      UseScanSteps += W.UseScanSteps;
-    }
   };
 
   Runtime() : Runtime(Config()) {}
@@ -339,10 +311,6 @@ public:
   /// populated when Config::EnableProfile is set.
   const PropagationProfile &profile() const { return Main.Prof; }
   void resetProfile() { Main.Prof.reset(); }
-  /// True when this runtime was constructed with the parallel
-  /// propagator armed (Config::ParallelPropagate or the environment
-  /// override); individual propagations may still run sequentially.
-  bool parallelEnabled() const { return Par != nullptr; }
   /// Toggles the determinacy-race detector between propagations (meta
   /// phase only), so one runtime can time a detector-off loop and then
   /// audit the same trace with it on.
@@ -389,9 +357,6 @@ private:
   /// The race detector partitions the propagation queue (Heap) and
   /// reuses the OM order queries (heapLess) for its clustering.
   friend class RaceCheck;
-  /// The parallel propagator drives per-worker ExecStates through the
-  /// same tracing entry points via the thread-local binding below.
-  friend class ParallelPropagate;
   /// Test-only peer (tests reach the propagation queue to inject edge
   /// states the public API cannot, e.g. duplicate heap entries).
   friend struct RuntimeTestPeer;
@@ -445,12 +410,9 @@ private:
     bool IsModref;
   };
 
-  /// Everything the tracing and propagation entry points mutate per
-  /// executing strand. Sequential execution uses the single Main
-  /// instance; a parallel propagation binds one ExecState per worker
-  /// through the thread-local ExecBind below, so read / write / allocate
-  /// / reexecute run unchanged on workers and their counters, queues,
-  /// and deferred frees merge into Main at the join barrier.
+  /// Everything the trampoline and the propagation loop mutate while
+  /// core code runs: the time cursor, the interval being re-executed, the
+  /// propagation queue, and the counters.
   struct ExecState {
     /// The pending substitution value for the next closure the
     /// trampoline invokes: read() parks the value seen here, allocate()
@@ -461,28 +423,10 @@ private:
     OmNode *Cursor = nullptr;
     OmNode *IntervalEnd = nullptr;
     bool SplicedFlag = false;
-    /// Certified region bounds for a parallel worker: the OM timestamps
-    /// delimiting the cluster group it owns (both inclusive). Null when
-    /// sequential. An invalidation landing outside [RegionLo, RegionHi]
-    /// is forwarded to the coordinator instead of enqueued locally.
-    OmNode *RegionLo = nullptr;
-    OmNode *RegionHi = nullptr;
-    /// Worker index during a parallel phase (-1 when sequential).
-    int WorkerId = -1;
     std::vector<ReadNode *> PendingReads;
     /// Propagation queue (intrusive binary heap ordered by start time).
     std::vector<ReadNode *> Heap;
     std::vector<DeferredFree> DeferredFrees;
-    /// Memo inserts parked during a parallel phase (FlagMemoDeferred set
-    /// on each node). Bucket-chain order determines which same-key
-    /// candidate a later probe steals, so concurrent head-inserts would
-    /// make the trace's future shape depend on worker scheduling; the
-    /// coordinator applies these at the join in worker-id order, which
-    /// equals the sequential insert order because the groups are
-    /// disjoint and timestamp-ordered. Entries revoked before the join
-    /// are nulled in place (order of the rest must be preserved).
-    std::vector<ReadNode *> PhaseReadMemo;
-    std::vector<AllocNode *> PhaseAllocMemo;
     Stats S;
     PropagationProfile Prof;
   };
@@ -505,12 +449,13 @@ private:
   /// and propagation require complete memo membership).
   void flushConstructionMemo();
 
-  /// Trace operations performed so far on one strand, as a monotone work
-  /// measure; the profiler records the delta across one re-execution as
-  /// the re-executed interval's size.
-  uint64_t traceWorkOps(const ExecState &E) const {
-    return E.S.ReadsTraced + E.S.WritesTraced + E.S.AllocsTraced +
-           E.S.NodesRevoked + E.S.MemoReadHits + E.S.MemoAllocHits;
+  /// Trace operations performed so far, as a monotone work measure; the
+  /// profiler records the delta across one re-execution as the
+  /// re-executed interval's size.
+  uint64_t traceWorkOps() const {
+    const Stats &S = Main.S;
+    return S.ReadsTraced + S.WritesTraced + S.AllocsTraced + S.NodesRevoked +
+           S.MemoReadHits + S.MemoAllocHits;
   }
 
   // Change propagation.
@@ -529,14 +474,14 @@ private:
   AllocNode *findAllocMemo(const Closure *Init, size_t Size, uint64_t Hash);
   bool inReuseWindow(const OmNode *Start) const;
 
-  // Propagation queue operations over a strand's intrusive binary heap
+  // Propagation queue operations over the intrusive binary heap Main.Heap
   // (ordered by start time, position cached in ReadNode::HeapIndex).
   bool heapLess(const ReadNode *A, const ReadNode *B) const;
-  void heapPush(ExecState &E, ReadNode *R);
-  ReadNode *heapPopMin(ExecState &E);
-  void heapRemove(ExecState &E, ReadNode *R);
-  void heapSiftUp(ExecState &E, size_t Index);
-  void heapSiftDown(ExecState &E, size_t Index);
+  void heapPush(ReadNode *R);
+  ReadNode *heapPopMin();
+  void heapRemove(ReadNode *R);
+  void heapSiftUp(size_t Index);
+  void heapSiftDown(size_t Index);
 
   // Simulated GC for the SaSML-style configuration.
   void maybeSimulateGc();
@@ -548,27 +493,8 @@ private:
   OmNode *TraceEnd;
   Phase CurPhase = Phase::Meta;
 
-  /// The sequential execution strand, and the merge target of parallel
-  /// phases. See ExecState.
+  /// The execution state. See ExecState.
   ExecState Main;
-
-  /// Thread-local routing of the tracing entry points to an ExecState: a
-  /// parallel worker binds {this runtime, its ExecState} for the phase;
-  /// every other thread — and this runtime's own thread outside a phase
-  /// — falls through to Main. Keyed by the runtime pointer so multiple
-  /// runtimes on one thread, and one runtime across threads, stay
-  /// independent.
-  struct ExecBind {
-    const Runtime *RT;
-    ExecState *E;
-  };
-  inline static thread_local ExecBind TlsBind{nullptr, nullptr};
-  ExecState &exec() {
-    return __builtin_expect(TlsBind.RT == this, 0) ? *TlsBind.E : Main;
-  }
-  const ExecState &exec() const {
-    return __builtin_expect(TlsBind.RT == this, 0) ? *TlsBind.E : Main;
-  }
 
   /// The memo indexes chain through 32-bit handles, so each table is
   /// bound to the arena that owns its nodes (Mem, declared above).
@@ -580,13 +506,6 @@ private:
   std::vector<AllocNode *> PendingAllocMemo;
 
   RaceCheck Race;
-  /// The parallel propagator (runtime/ParallelPropagate.h), present only
-  /// when Config::ParallelPropagate or the environment override enabled
-  /// it; owns the worker pool. ParArmed is true exactly while a parallel
-  /// phase is live — it arms the striped modref locks and the atomic
-  /// dirty-bit paths on the tracing entry points.
-  std::unique_ptr<ParallelPropagate> Par;
-  bool ParArmed = false;
   size_t GcAllocMark = 0;
   size_t MetaBytes = 0;
   bool Oom = false;

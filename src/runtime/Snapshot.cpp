@@ -1051,16 +1051,13 @@ struct Snapshot::Impl {
     // Word values routinely hold arena pointers (list cells, modrefs,
     // blocks). Raw addresses differ between runtimes at different region
     // bases, and raw *offsets* differ when equivalent traces placed
-    // their blocks differently — sequential propagation allocates from
-    // the central freelists in global time order, a parallel phase from
-    // per-worker shard chunks, yet both reach observationally identical
-    // traces. Addresses are opaque identities to core code (only
-    // equality is observable), so the digest is made placement-abstract:
-    // each distinct in-region value is renamed to its first-occurrence
-    // ordinal in trace order. Two digests agree iff the traces match up
-    // to a bijection of block addresses — exactly observational
-    // equivalence, and the property the parallel-vs-sequential oracle
-    // (tests/ParallelPropagateTest) asserts.
+    // their blocks differently (the allocation history decides which
+    // freelist block a node gets). Addresses are opaque identities to
+    // core code (only equality is observable), so the digest is made
+    // placement-abstract: each distinct in-region value is renamed to its
+    // first-occurrence ordinal in trace order. Two digests agree iff the
+    // traces match up to a bijection of block addresses — exactly
+    // observational equivalence.
     std::unordered_map<uint64_t, uint64_t> Names;
     auto MixVal = [&](Word W) {
       if (W >= RegionBase && W - RegionBase < Region) {

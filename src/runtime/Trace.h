@@ -72,30 +72,8 @@ struct TraceNode {
   /// allocates (as must ReadNode's queue index, see its RawInit).
   struct RawInit {};
 
-  /// Set on nodes whose memo-index insert is parked on a worker strand
-  /// during a parallel propagation phase (bucket-chain order must not
-  /// depend on worker scheduling, so phase inserts are applied at the
-  /// join in worker order — see ParallelPropagate). Cleared when the
-  /// deferred insert is applied or the node is revoked first; never set
-  /// outside a phase, so audits and digests at meta time see it clear.
-  /// Reads share the Flags byte with the atomically-updated dirty bit,
-  /// so read-node accesses use the RMW helpers below.
-  static constexpr uint8_t FlagMemoDeferred = 2;
-
   explicit TraceNode(TraceKind K) : Kind(K), Flags(0), Start{} {}
   TraceNode(TraceKind K, RawInit) : Kind(K), Flags(0) {}
-
-  /// FlagMemoDeferred accessors, atomic because a read node's Flags byte
-  /// is concurrently dirty-marked by foreign workers during a phase.
-  void setMemoDeferredAtomic() {
-    __atomic_fetch_or(&Flags, FlagMemoDeferred, __ATOMIC_RELAXED);
-  }
-  void clearMemoDeferredAtomic() {
-    __atomic_fetch_and(&Flags, uint8_t(~FlagMemoDeferred), __ATOMIC_RELAXED);
-  }
-  bool isMemoDeferred() const {
-    return __atomic_load_n(&Flags, __ATOMIC_RELAXED) & FlagMemoDeferred;
-  }
 };
 
 /// Base of per-modifiable uses (reads and writes), linked in time order.
@@ -116,10 +94,9 @@ struct ReadNode : Use {
   ReadNode()
       : Use(TraceKind::Read), Clo{}, SeenValue(0), End{}, Gov{},
         HeapIndex(-1), Memo{} {}
-  /// End is initialized (not raw) so a cross-region invalidation during a
-  /// parallel phase can distinguish an open read — created, linked into
-  /// its use list, but not yet end-stamped — and forward it instead of
-  /// resolving a garbage interval bound.
+  /// End is initialized (not raw) so an open read — created and linked
+  /// but not yet end-stamped by its trampoline — is recognizable (see the
+  /// open-interval check in Runtime::revokeRead).
   explicit ReadNode(RawInit R)
       : Use(TraceKind::Read, R), End{}, HeapIndex(-1) {}
 
@@ -146,41 +123,6 @@ struct ReadNode : Use {
   bool isDirty() const { return Flags & FlagDirty; }
   void setDirty(bool D) {
     Flags = D ? (Flags | FlagDirty) : (Flags & ~FlagDirty);
-  }
-
-  /// Atomic dirty-bit accessors for the parallel propagation phase: a
-  /// worker re-executing a write can race another worker (or itself)
-  /// invalidating the same reader, so marking must be an RMW. Returns
-  /// the prior dirty state, letting exactly one marker enqueue the read.
-  bool markDirtyAtomic() {
-    uint8_t Old = __atomic_fetch_or(&Flags, FlagDirty, __ATOMIC_ACQ_REL);
-    return Old & FlagDirty;
-  }
-  void clearDirtyAtomic() {
-    __atomic_fetch_and(&Flags, uint8_t(~FlagDirty), __ATOMIC_ACQ_REL);
-  }
-  bool isDirtyAtomic() const {
-    return __atomic_load_n(&Flags, __ATOMIC_ACQUIRE) & FlagDirty;
-  }
-
-  /// Atomic End accessors for the parallel phase: the owning worker
-  /// stamps End at trampoline unwind without holding the modifiable's
-  /// stripe, while a cross-region invalidator inspects it to test region
-  /// containment. A null End reads as "still open" and the invalidator
-  /// must forward rather than resolve the interval.
-  Handle<OmNode> endAcquire() const {
-#ifdef CEAL_WIDE_TRACE
-    return Handle<OmNode>(__atomic_load_n(&End.Ptr, __ATOMIC_ACQUIRE));
-#else
-    return Handle<OmNode>(__atomic_load_n(&End.Bits, __ATOMIC_ACQUIRE));
-#endif
-  }
-  void endRelease(Handle<OmNode> H) {
-#ifdef CEAL_WIDE_TRACE
-    __atomic_store_n(&End.Ptr, H.Ptr, __ATOMIC_RELEASE);
-#else
-    __atomic_store_n(&End.Bits, H.Bits, __ATOMIC_RELEASE);
-#endif
   }
 };
 

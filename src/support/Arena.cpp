@@ -67,154 +67,6 @@ void Arena::deallocateLarge(void *Ptr, size_t Size) {
   Head = Cell;
 }
 
-void *Arena::allocateSharded(size_t Size) {
-  int Id = ShardTls;
-  if (__builtin_expect(Id < 0, 0)) {
-    // Not a bound worker (an allocation raced in from the meta thread
-    // while shard mode was armed): serialize on the central structures.
-    SpinLockGuard G(CentralLock);
-    ++AllocCount;
-    if (Size > MaxSmallSize)
-      return allocateLarge(Size);
-    size_t Index = classIndex(Size);
-    size_t Rounded = classSize(Index);
-    LiveBytes += Rounded;
-    TotalAllocated += Rounded;
-    if (LiveBytes > MaxLiveBytes)
-      MaxLiveBytes = LiveBytes;
-    if (FreeCell *Cell = FreeLists[Index]) {
-      FreeLists[Index] = Cell->Next;
-      return Cell;
-    }
-    char *Result = BumpPtr;
-    if (Result + Rounded > BumpEnd)
-      regionExhausted();
-    BumpPtr = Result + Rounded;
-    return Result;
-  }
-  assert(unsigned(Id) < ActiveShards && "shard id out of range");
-  Shard &S = Shards[Id];
-  ++S.AllocDelta;
-  if (Size > MaxSmallSize) {
-    SpinLockGuard G(CentralLock);
-    return allocateLarge(Size);
-  }
-  size_t Index = classIndex(Size);
-  size_t Rounded = classSize(Index);
-  S.LiveDelta += int64_t(Rounded);
-  S.TotalDelta += Rounded;
-  if (FreeCell *Cell = S.Free[Index]) {
-    S.Free[Index] = Cell->Next;
-    if (!S.Free[Index])
-      S.FreeTail[Index] = nullptr;
-    return Cell;
-  }
-  char *Result = S.BumpPtr;
-  if (!Result || Result + Rounded > S.BumpEnd) {
-    refillShard(S, Rounded);
-    Result = S.BumpPtr;
-  }
-  S.BumpPtr = Result + Rounded;
-  return Result;
-}
-
-void Arena::deallocateSharded(void *Ptr, size_t Size) {
-  int Id = ShardTls;
-  if (__builtin_expect(Id < 0, 0)) {
-    SpinLockGuard G(CentralLock);
-    if (Size > MaxSmallSize)
-      return deallocateLarge(Ptr, Size);
-    size_t Index = classIndex(Size);
-    size_t Rounded = classSize(Index);
-    assert(LiveBytes >= Rounded && "freelist accounting underflow");
-    LiveBytes -= Rounded;
-    auto *Cell = static_cast<FreeCell *>(Ptr);
-    Cell->Next = FreeLists[Index];
-    FreeLists[Index] = Cell;
-    return;
-  }
-  assert(unsigned(Id) < ActiveShards && "shard id out of range");
-  Shard &S = Shards[Id];
-  if (Size > MaxSmallSize) {
-    SpinLockGuard G(CentralLock);
-    return deallocateLarge(Ptr, Size);
-  }
-  size_t Index = classIndex(Size);
-  size_t Rounded = classSize(Index);
-  S.LiveDelta -= int64_t(Rounded);
-  auto *Cell = static_cast<FreeCell *>(Ptr);
-  Cell->Next = S.Free[Index];
-  if (!S.Free[Index])
-    S.FreeTail[Index] = Cell;
-  S.Free[Index] = Cell;
-}
-
-void Arena::refillShard(Shard &S, size_t Need) {
-  // The abandoned tail of the previous chunk is < one size class (512 B)
-  // per refill; chunks themselves persist across shard phases.
-  size_t Chunk = ShardChunkBytes > Need ? ShardChunkBytes : Need;
-  SpinLockGuard G(CentralLock);
-  char *Result = BumpPtr;
-  if (Result + Chunk > BumpEnd)
-    regionExhausted();
-  BumpPtr = Result + Chunk;
-  S.BumpPtr = Result;
-  S.BumpEnd = Result + Chunk;
-}
-
-void Arena::beginShards(unsigned N) {
-  assert(!ShardMode && "shard mode already armed");
-  assert(N >= 1 && N <= MaxShards && "shard count out of range");
-  ActiveShards = N;
-  for (unsigned I = 0; I < N; ++I) {
-    Shard &S = Shards[I];
-    for (size_t C = 0; C < NumClasses; ++C) {
-      assert(!S.Free[C] && "shard freelist not merged by endShards");
-      S.Free[C] = S.FreeTail[C] = nullptr;
-    }
-    S.LiveDelta = 0;
-    S.TotalDelta = 0;
-    S.AllocDelta = 0;
-  }
-  ShardMode = true;
-}
-
-void Arena::endShards() {
-  assert(ShardMode && "shard mode not armed");
-  ShardMode = false;
-  for (unsigned I = 0; I < ActiveShards; ++I) {
-    Shard &S = Shards[I];
-    for (size_t C = 0; C < NumClasses; ++C) {
-      if (!S.Free[C])
-        continue;
-      S.FreeTail[C]->Next = FreeLists[C];
-      FreeLists[C] = S.Free[C];
-      S.Free[C] = S.FreeTail[C] = nullptr;
-    }
-    LiveBytes = size_t(int64_t(LiveBytes) + S.LiveDelta);
-    TotalAllocated += S.TotalDelta;
-    AllocCount += S.AllocDelta;
-    S.LiveDelta = 0;
-    S.TotalDelta = 0;
-    S.AllocDelta = 0;
-  }
-  ActiveShards = 0;
-  if (LiveBytes > MaxLiveBytes)
-    MaxLiveBytes = LiveBytes;
-}
-
-void Arena::resetShards() {
-  assert(!ShardMode && "cannot move the region while shard mode is armed");
-  for (Shard &S : Shards) {
-    for (size_t C = 0; C < NumClasses; ++C)
-      S.Free[C] = S.FreeTail[C] = nullptr;
-    S.BumpPtr = S.BumpEnd = nullptr;
-    S.LiveDelta = 0;
-    S.TotalDelta = 0;
-    S.AllocDelta = 0;
-  }
-}
-
 void Arena::regionExhausted() const {
   fatalError("Arena region exhausted: trace outgrew the 32-bit handle "
              "space (construct the Arena with a larger region, up to "
@@ -264,7 +116,6 @@ bool Arena::remapTo(char *WantBase, size_t WantBytes) {
     Head = nullptr;
   LargeFree.clear();
   LiveBytes = MaxLiveBytes = TotalAllocated = AllocCount = 0;
-  resetShards(); // Shard chunks pointed into the released region.
   return Claimed;
 }
 

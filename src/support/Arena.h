@@ -34,8 +34,6 @@
 #ifndef CEAL_SUPPORT_ARENA_H
 #define CEAL_SUPPORT_ARENA_H
 
-#include "support/SpinLock.h"
-
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -123,8 +121,6 @@ public:
   /// line.
   void *allocate(size_t Size) {
     assert(Size > 0 && "zero-size allocation");
-    if (__builtin_expect(ShardMode, 0))
-      return allocateSharded(Size);
     ++AllocCount;
     if (Size > MaxSmallSize)
       return allocateLarge(Size);
@@ -148,8 +144,6 @@ public:
   /// Returns a block previously obtained from allocate() with \p Size.
   void deallocate(void *Ptr, size_t Size) {
     assert(Ptr && "deallocating null");
-    if (__builtin_expect(ShardMode, 0))
-      return deallocateSharded(Ptr, Size);
     if (Size > MaxSmallSize)
       return deallocateLarge(Ptr, Size);
     size_t Index = classIndex(Size);
@@ -271,35 +265,6 @@ public:
     AllocCount = 0;
   }
 
-  //===--------------------------------------------------------------===//
-  // Parallel shard mode (runtime/ParallelPropagate). While armed, each
-  // bound worker thread allocates from a private shard — its own bump
-  // chunk (carved from the shared region under a lock, 64 KB at a time)
-  // and per-class freelists — so the trace hot path stays lock-free
-  // across workers. endShards() splices the shard freelists back into
-  // the central lists and reconciles the statistics, restoring the
-  // exact sequential accounting (liveBytes is delta-exact; the
-  // transient max-live high-water mark inside a parallel phase is
-  // approximated at the join). Shard bump chunks persist across phases
-  // so repeated propagations do not leak region space.
-  //===--------------------------------------------------------------===//
-
-  static constexpr unsigned MaxShards = 8;
-  /// Bytes carved from the central bump per shard refill.
-  static constexpr size_t ShardChunkBytes = size_t(64) << 10;
-
-  /// The calling thread's shard binding, -1 when unbound. Shared by all
-  /// arenas: a propagation worker uses one id against both the trace
-  /// arena and the order-maintenance arena.
-  inline static thread_local int ShardTls = -1;
-
-  /// Arms shard mode with \p N shards (ids 0..N-1). Single-threaded.
-  void beginShards(unsigned N);
-  /// Disarms shard mode, merging freelists and statistics. The worker
-  /// threads must have joined. Single-threaded.
-  void endShards();
-  bool sharded() const { return ShardMode; }
-
   static constexpr size_t MaxSmallSize = 512;
 
 private:
@@ -323,26 +288,6 @@ private:
   void deallocateLarge(void *Ptr, size_t Size);
   [[noreturn]] void regionExhausted() const;
 
-  /// One worker's private allocation state. Freelists keep a tail
-  /// pointer so endShards() can splice them into the central lists in
-  /// O(1) per class. The bump chunk persists across shard phases (it is
-  /// recycled, never leaked), but always points into the current region
-  /// — resetShards() clears it whenever the region moves.
-  struct alignas(64) Shard {
-    FreeCell *Free[NumClasses] = {};
-    FreeCell *FreeTail[NumClasses] = {};
-    char *BumpPtr = nullptr;
-    char *BumpEnd = nullptr;
-    int64_t LiveDelta = 0;
-    uint64_t TotalDelta = 0;
-    uint64_t AllocDelta = 0;
-  };
-
-  void *allocateSharded(size_t Size);
-  void deallocateSharded(void *Ptr, size_t Size);
-  void refillShard(Shard &S, size_t Need);
-  void resetShards();
-
   char *Base = nullptr;
   char *BumpPtr = nullptr;
   char *BumpEnd = nullptr;
@@ -355,13 +300,6 @@ private:
   size_t MaxLiveBytes = 0;
   size_t TotalAllocated = 0;
   size_t AllocCount = 0;
-
-  bool ShardMode = false;
-  unsigned ActiveShards = 0;
-  /// Guards the central bump frontier and large-block lists while shard
-  /// mode is armed (shard chunk refills, >MaxSmallSize allocations).
-  SpinLock CentralLock;
-  Shard Shards[MaxShards];
 };
 
 } // namespace ceal

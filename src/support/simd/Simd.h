@@ -159,9 +159,17 @@ struct KernelCounters {
 };
 KernelCounters &counters(Kernel K);
 
+/// A plain copy of every kernel's counters at one instant.
+struct CounterSnapshot {
+  uint64_t Calls[NumKernels] = {};
+  uint64_t Bytes[NumKernels] = {};
+};
+CounterSnapshot snapshotCounters();
+
 /// Emits {"selected": ..., "max_supported": ..., "kernels": [{"kernel",
-/// "variant", "calls", "bytes"}, ...]} for the profiler/bench JSON.
-void writeCountersJson(std::ostream &OS);
+/// "variant", "calls", "bytes"}, ...]} for the profiler JSON, with the
+/// calls and bytes of \p Counts.
+void writeCountersJson(std::ostream &OS, const CounterSnapshot &Counts);
 
 inline void note(Kernel K, uint64_t Bytes) {
   KernelCounters &C = counters(K);

@@ -190,16 +190,25 @@ KernelCounters &counters(Kernel K) {
   return Rows[unsigned(K)];
 }
 
-void writeCountersJson(std::ostream &OS) {
+CounterSnapshot snapshotCounters() {
+  CounterSnapshot S;
+  for (unsigned K = 0; K < NumKernels; ++K) {
+    const KernelCounters &C = counters(Kernel(K));
+    S.Calls[K] = C.Calls.load(std::memory_order_relaxed);
+    S.Bytes[K] = C.Bytes.load(std::memory_order_relaxed);
+  }
+  return S;
+}
+
+void writeCountersJson(std::ostream &OS, const CounterSnapshot &Counts) {
   OS << "{\"selected\": \"" << variantName(selected())
      << "\", \"max_supported\": \"" << variantName(maxSupported())
      << "\", \"kernels\": [";
   for (unsigned K = 0; K < NumKernels; ++K) {
-    const KernelCounters &C = counters(Kernel(K));
     OS << (K ? ", " : "") << "{\"kernel\": \"" << kernelName(Kernel(K))
        << "\", \"variant\": \"" << variantName(selected())
-       << "\", \"calls\": " << C.Calls.load(std::memory_order_relaxed)
-       << ", \"bytes\": " << C.Bytes.load(std::memory_order_relaxed) << "}";
+       << "\", \"calls\": " << Counts.Calls[K]
+       << ", \"bytes\": " << Counts.Bytes[K] << "}";
   }
   OS << "]}";
 }

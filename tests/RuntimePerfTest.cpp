@@ -11,12 +11,15 @@
 
 #include "apps/ListApps.h"
 #include "runtime/TraceAudit.h"
+#include "support/Checksum.h"
 #include "support/Random.h"
 #include "tests/support/Generators.h"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 using namespace ceal;
 using namespace ceal::apps;
@@ -187,6 +190,33 @@ TEST(Profiler, JsonWriterEmitsPhasesAndHistograms) {
         "\"revoke_ns\"", "\"memo_lookup_ns\"", "\"queue_ns\"",
         "\"reexec_work_hist\"", "\"use_scan_hist\"", "\"buckets\""})
     EXPECT_NE(J.find(Key), std::string::npos) << Key;
+}
+
+// The SIMD kernel counters are process-global; a profile must report only
+// the kernel calls made inside its profiled phases, not the checksums of
+// other work (a snapshot, or another runtime's construction).
+TEST(Profiler, SimdCountersCoverOnlyTheProfiledWindow) {
+  Runtime::Config Cfg;
+  Cfg.EnableProfile = true;
+  EditedMapRun W(Cfg);
+  std::vector<unsigned char> Bytes(8 * simd::ChecksumBlockBytes, 0x5a);
+  Checksum64 C;
+  C.update(Bytes.data(), Bytes.size());
+  ASSERT_NE(C.digest(), 0u);
+  W.RT.resetProfile();
+  detachCell(W.RT, W.L, 3);
+  W.RT.propagate();
+  std::ostringstream Out;
+  W.RT.profile().writeJson(Out);
+  const std::string J = Out.str();
+  const std::string Row = "{\"kernel\": \"checksum_blocks\"";
+  size_t At = J.find(Row);
+  ASSERT_NE(At, std::string::npos) << J;
+  const std::string Key = "\"calls\": ";
+  size_t Calls = J.find(Key, At);
+  ASSERT_NE(Calls, std::string::npos) << J;
+  EXPECT_EQ(std::stoull(J.substr(Calls + Key.size())), 0u)
+      << J.substr(At, 120);
 }
 
 //===----------------------------------------------------------------------===//
